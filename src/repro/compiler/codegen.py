@@ -28,7 +28,7 @@ register homes, ``x29/x30`` frame/link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import struct
 
 from repro import observability as obs
 from repro.compiler.compiled import CompiledMethod, Relocation, RelocKind
@@ -40,6 +40,7 @@ from repro.hgraph.ir import HGraph, HInstruction
 from repro.isa import asm
 from repro.isa import instructions as ins
 from repro.isa import registers as regs
+from repro.isa._bits import FieldRangeError, check_sint, check_uint
 from repro.oat import layout
 
 __all__ = ["CodegenError", "MethodCodegen", "compile_graph", "compile_jni_stub"]
@@ -58,32 +59,118 @@ _COND_OF_CMP = {
 }
 
 
+# -- A64 field packing -----------------------------------------------------------
+#
+# The templates emit encoded words directly instead of instruction
+# objects.  Each form's fixed bits are its encoding in the ISA model with
+# every operand zero, so :mod:`repro.isa.instructions` stays the one
+# definition of the encodings; operands are ORed into their fields here.
+# Registers come from this module's own constants and never need range
+# checks; immediates derived from the program being compiled are
+# checked exactly as the ISA model checks them.
+
+#: ``rd = rn <op> rm`` per IR arithmetic op (``mul`` is ``madd`` with
+#: ``ra = xzr``); min/max lower to ``cmp`` + ``csel`` instead.
+_ALU_RRR = {
+    "add": ins.AddSubReg(op="add", rd=0, rn=0, rm=0).encode(),
+    "sub": ins.AddSubReg(op="sub", rd=0, rn=0, rm=0).encode(),
+    "mul": asm.mul(0, 0, 0).encode(),
+    "div": asm.sdiv(0, 0, 0).encode(),
+    "shl": ins.ShiftVar(op="lsl", rd=0, rn=0, rm=0).encode(),
+    "shr": ins.ShiftVar(op="asr", rd=0, rn=0, rm=0).encode(),
+    "ushr": ins.ShiftVar(op="lsr", rd=0, rn=0, rm=0).encode(),
+    "and": ins.LogicalReg(op="and", rd=0, rn=0, rm=0).encode(),
+    "or": ins.LogicalReg(op="orr", rd=0, rn=0, rm=0).encode(),
+    "xor": ins.LogicalReg(op="eor", rd=0, rn=0, rm=0).encode(),
+}
+_MIN_MAX_COND = {"min": ins.Cond.LE, "max": ins.Cond.GE}
+_ORR = _ALU_RRR["or"]
+_CMP_REG = asm.cmp_reg(0, 0).encode()  # ``subs xzr, rn, rm``: rd is fixed
+_CSEL = ins.CSel(rd=0, rn=0, rm=0, cond=0).encode()
+#: ``rd = rn <op> #imm12``.
+_IMM12 = {
+    "add": asm.add_imm(0, 0, 0).encode(),
+    "sub": asm.sub_imm(0, 0, 0).encode(),
+    "cmp": asm.cmp_imm(0, 0).encode(),  # ``subs xzr, rn, #imm``
+}
+#: 64-bit ``ldr``/``str`` with a scaled unsigned offset.
+_LDR = asm.ldr(0, 0).encode()
+_STR = asm.str_(0, 0).encode()
+#: 64-bit register pairs, keyed by ``(op, addressing mode)``.
+_PAIR = {
+    (op, mode): ins.LoadStorePair(op=op, rt=0, rt2=0, rn=0, mode=mode).encode()
+    for op in ("ldp", "stp")
+    for mode in ("offset", "pre", "post")
+}
+_MOVZ = ins.MoveWide(op="movz", rd=0, imm16=0).encode()
+_MOVN = ins.MoveWide(op="movn", rd=0, imm16=0).encode()
+_BL = ins.Bl(offset=0).encode()
+_ADRP = ins.Adrp(rd=0).encode()
+_BR = ins.Br(rn=0).encode()
+_RET = ins.Ret().encode()
+_BRK_SLOWPATH = ins.Brk(imm16=0x900).encode()
+
+#: PC-relative forms resolved at finalisation: fixed bits and the
+#: immediate field their displacement goes into.
+_B = ins.B(offset=0).encode()
+_BCOND = ins.BCond(cond=0, offset=0).encode()
+_CBZ = ins.Cbz(rt=0, offset=0).encode()
+_CBNZ = ins.Cbnz(rt=0, offset=0).encode()
+_TBZ = ins.Tbz(rt=0, bit=0, offset=0).encode()
+_TBNZ = ins.Tbnz(rt=0, bit=0, offset=0).encode()
+_ADR = ins.Adr(rd=0, offset=0).encode()
+_LDR_LITERAL = ins.LoadLiteral(rt=0, offset=0).encode()
+
+
+def _place(field: str, delta: int) -> int:
+    """Bits of the byte displacement ``delta`` in immediate ``field``."""
+    if field == "adr":
+        imm21 = check_sint(delta, 21, "imm21")
+        return ((imm21 & 0b11) << 29) | ((imm21 >> 2) << 5)
+    if delta % 4:
+        raise FieldRangeError("branch offset must be word aligned")
+    if field == "imm19":
+        return check_sint(delta // 4, 19, "imm19") << 5
+    if field == "imm26":
+        return check_sint(delta // 4, 26, "imm26")
+    return check_sint(delta // 4, 14, "imm14") << 5  # imm14
+
+
+def _ldst(base: int, rt: int, rn: int, offset: int) -> int:
+    """64-bit ``ldr``/``str rt, [rn, #offset]``."""
+    if offset % 8:
+        raise FieldRangeError(f"offset {offset:#x} not 8-byte aligned")
+    return base | (check_uint(offset // 8, 12, "imm12") << 10) | (rn << 5) | rt
+
+
+def _pair(op: str, mode: str, rt: int, rt2: int, rn: int, offset: int) -> int:
+    """``ldp``/``stp rt, rt2`` around ``[rn, #offset]``."""
+    imm7 = check_sint(offset // 8, 7, "imm7")
+    return _PAIR[op, mode] | (imm7 << 15) | (rt2 << 10) | (rn << 5) | rt
+
+
+def _mov(rd: int, rm: int) -> int:
+    """``mov rd, rm`` (``orr rd, xzr, rm``)."""
+    return _ORR | (rm << 16) | (regs.XZR << 5) | rd
+
+
+def _imm12(op: str, rd: int, rn: int, imm12: int) -> int:
+    return _IMM12[op] | (check_uint(imm12, 12, "imm12") << 10) | (rn << 5) | rd
+
+
+def _movz(rd: int, imm16: int, hw: int = 0) -> int:
+    return _MOVZ | (hw << 21) | (check_uint(imm16, 16, "imm16") << 5) | rd
+
+
 class CodegenError(ValueError):
     """The method cannot be compiled (frame too large, etc.)."""
 
 
 class _Label:
-    __slots__ = ("entry",)
+    __slots__ = ("index",)
 
     def __init__(self) -> None:
-        self.entry: int | None = None
-
-
-@dataclass
-class _Entry:
-    """One 4-byte (or data-sized) unit in the output stream."""
-
-    instr: ins.Instruction | None = None
-    data: bytes | None = None
-    #: Local branch/adr/literal fixup: ('b'|'bcond'|'cbz'|'cbnz'|'tbz'|'tbnz'|'adr', label, payload)
-    fixup: tuple | None = None
-    #: Relocation attached to this entry.
-    reloc: tuple | None = None  # (kind, symbol, addend) — or for local_abs64: (kind, label)
-    is_data: bool = False
-
-    @property
-    def size(self) -> int:
-        return len(self.data) if self.data is not None else 4
+        self.index: int | None = None
 
 
 class MethodCodegen:
@@ -98,20 +185,31 @@ class MethodCodegen:
         self._graph = graph
         self._method = dexfile_method
         self._cto = cto
-        self._entries: list[_Entry] = []
-        self._pool: list[tuple[int | None, str | None]] = []  # (value, reloc symbol)
-        self._pool_index: dict[tuple[int | None, str | None], int] = {}
-        self._pool_loads: list[tuple[int, int, int]] = []  # (entry idx, rt, pool slot)
+        #: The method as 32-bit little-endian words; embedded data is
+        #: split into words too, so word ``i`` sits at offset ``4 * i``
+        #: and labels bind to word indices.
+        self._words: list[int] = []
+        #: Side tables by word index, in emission order.
+        self._fixups: list[tuple[int, _Label, str]] = []  # (index, label, imm field)
+        #: ``(index, (kind, symbol, addend))``, or ``(index,
+        #: ("local_label", label))`` for a jump-table slot holding a
+        #: method-local address.
+        self._relocs: list[tuple[int, tuple]] = []
+        self._terminators: list[int] = []
+        self._data: list[tuple[int, int]] = []  # (index, size in bytes)
+        #: The hot path: emit one plain instruction word.
+        self._emit = self._words.append
+        #: Literal pool: ``(value, reloc symbol)`` → the label of its slot.
+        self._pool: dict[tuple[int | None, str | None], _Label] = {}
         self._block_labels: dict[int, _Label] = {}
         self._epilogue = _Label()
         self._slowpath_labels: dict[str, _Label] = {}
-        self._pool_entry_index: dict[int, int] = {}
-        # (entry idx, dex_pc, kind, live vreg mask)
+        # (word index, dex_pc, kind, live vreg mask)
         self._stackmap_marks: list[tuple[int, int, str, int]] = []
         #: Live vreg mask after the IR instruction currently being
         #: lowered — what a safepoint at this position must preserve.
         self._current_live_mask = 0
-        self._slowpath_marks: list[tuple[int, int]] = []  # (start entry, end entry)
+        self._slowpath_marks: list[tuple[int, int]] = []  # (start word, end word)
         self._has_indirect_jump = False
         self._callees: list[str] = []
         self._dex_pc = 0
@@ -146,159 +244,144 @@ class MethodCodegen:
 
     # -- emission primitives -------------------------------------------------
 
-    def _emit(self, instr: ins.Instruction) -> int:
-        self._entries.append(_Entry(instr=instr))
-        return len(self._entries) - 1
+    def _emit_instrs(self, instructions: list[ins.Instruction]) -> None:
+        """Emit instruction objects (the ART pattern bodies)."""
+        for instr in instructions:
+            if instr.is_terminator:
+                self._terminators.append(len(self._words))
+            self._words.append(instr.encode())
 
-    def _emit_many(self, instructions: list[ins.Instruction]) -> None:
-        for i in instructions:
-            self._emit(i)
+    def _emit_terminator(self, word: int) -> None:
+        self._terminators.append(len(self._words))
+        self._words.append(word)
 
-    def _emit_fixup(self, kind: str, label: _Label, payload: tuple = ()) -> int:
-        self._entries.append(_Entry(fixup=(kind, label, payload)))
-        return len(self._entries) - 1
+    def _emit_fixup(self, word: int, label: _Label, field: str, terminator: bool = True) -> None:
+        """Emit ``word``; its displacement to ``label`` goes into
+        immediate ``field`` at finalisation."""
+        index = len(self._words)
+        self._fixups.append((index, label, field))
+        if terminator:
+            self._terminators.append(index)
+        self._words.append(word)
 
-    def _emit_reloc(self, instr: ins.Instruction, kind: str, symbol: str, addend: int = 0) -> int:
-        self._entries.append(_Entry(instr=instr, reloc=(kind, symbol, addend)))
-        return len(self._entries) - 1
+    def _emit_reloc(self, word: int, kind: str, symbol: str, addend: int = 0) -> None:
+        self._relocs.append((len(self._words), (kind, symbol, addend)))
+        self._words.append(word)
 
-    def _emit_data(self, data: bytes, reloc: tuple | None = None) -> int:
-        self._entries.append(_Entry(data=data, reloc=reloc, is_data=True))
-        return len(self._entries) - 1
+    def _emit_data(self, data: bytes, reloc: tuple | None = None) -> None:
+        index = len(self._words)
+        self._data.append((index, len(data)))
+        if reloc is not None:
+            self._relocs.append((index, reloc))
+        self._words.extend(struct.unpack(f"<{len(data) // 4}I", data))
 
     def _bind(self, label: _Label) -> None:
-        if label.entry is not None:
+        if label.index is not None:
             raise CodegenError("label bound twice")
-        label.entry = len(self._entries)
-
-    def _pool_slot(self, value: int | None, symbol: str | None = None) -> int:
-        key = (value, symbol)
-        if key not in self._pool_index:
-            self._pool_index[key] = len(self._pool)
-            self._pool.append(key)
-        return self._pool_index[key]
+        label.index = len(self._words)
 
     def _load_literal(self, rt: int, value: int | None, symbol: str | None = None) -> None:
-        slot = self._pool_slot(value, symbol)
-        self._entries.append(_Entry(fixup=("lit", None, (rt, slot))))
+        key = (value, symbol)
+        slot = self._pool.get(key)
+        if slot is None:
+            slot = self._pool[key] = _Label()
+        self._emit_fixup(_LDR_LITERAL | rt, slot, "imm19", terminator=False)
 
     # -- virtual register access ----------------------------------------------
-
-    def _home(self, vreg: int) -> int | None:
-        """Register home, or None when the vreg lives on the stack."""
-        return self._home_map.get(vreg)
 
     def _spill_offset(self, vreg: int) -> int:
         return self._spill_base + 8 * self._spill_map[vreg]
 
     def _read(self, vreg: int, scratch: int) -> int:
         """Make the vreg's value available in a register; returns it."""
-        home = self._home(vreg)
+        home = self._home_map.get(vreg)
         if home is not None:
             return home
-        self._emit(asm.ldr(scratch, regs.SP, self._spill_offset(vreg)))
+        self._emit(_ldst(_LDR, scratch, regs.SP, self._spill_offset(vreg)))
         return scratch
 
     def _read_into(self, vreg: int, target: int) -> None:
         """Force the value into ``target``."""
-        home = self._home(vreg)
+        home = self._home_map.get(vreg)
         if home is not None:
-            self._emit(asm.mov(target, home))
+            self._emit(_mov(target, home))
         else:
-            self._emit(asm.ldr(target, regs.SP, self._spill_offset(vreg)))
+            self._emit(_ldst(_LDR, target, regs.SP, self._spill_offset(vreg)))
 
     def _dst_reg(self, vreg: int, scratch: int) -> int:
-        home = self._home(vreg)
+        home = self._home_map.get(vreg)
         return home if home is not None else scratch
 
     def _commit(self, vreg: int, src: int) -> None:
-        home = self._home(vreg)
+        home = self._home_map.get(vreg)
         if home is None:
-            self._emit(asm.str_(src, regs.SP, self._spill_offset(vreg)))
+            self._emit(_ldst(_STR, src, regs.SP, self._spill_offset(vreg)))
         elif home != src:
-            self._emit(asm.mov(home, src))
+            self._emit(_mov(home, src))
 
     # -- ART patterns (CTO hook) ------------------------------------------------
 
     def _java_call_tail(self, dex_pc: int) -> None:
         if self._cto is not None:
             symbol = self._cto.java_call()
-            self._emit_reloc(ins.Bl(offset=0), RelocKind.CALL26, symbol)
+            self._emit_reloc(_BL, RelocKind.CALL26, symbol)
             self._callees.append(symbol)
         else:
-            self._emit_many(patterns.java_call_pattern())
+            self._emit_instrs(patterns.java_call_pattern())
         self._stackmap_marks.append(
-            (len(self._entries), dex_pc, "call", self._current_live_mask)
+            (len(self._words), dex_pc, "call", self._current_live_mask)
         )
 
     def _runtime_call(self, entrypoint: str, dex_pc: int, kind: str = "call") -> None:
         if self._cto is not None:
             symbol = self._cto.runtime_call(entrypoint)
-            self._emit_reloc(ins.Bl(offset=0), RelocKind.CALL26, symbol)
+            self._emit_reloc(_BL, RelocKind.CALL26, symbol)
             self._callees.append(symbol)
         else:
-            self._emit_many(patterns.runtime_call_pattern(entrypoint))
+            self._emit_instrs(patterns.runtime_call_pattern(entrypoint))
         self._stackmap_marks.append(
-            (len(self._entries), dex_pc, kind, self._current_live_mask if kind == "call" else 0)
+            (len(self._words), dex_pc, kind, self._current_live_mask if kind == "call" else 0)
         )
 
     def _stack_check(self) -> None:
         if self._cto is not None:
             symbol = self._cto.stack_check()
-            self._emit_reloc(ins.Bl(offset=0), RelocKind.CALL26, symbol)
+            self._emit_reloc(_BL, RelocKind.CALL26, symbol)
             self._callees.append(symbol)
         else:
-            self._emit_many(patterns.stack_check_pattern())
+            self._emit_instrs(patterns.stack_check_pattern())
 
     # -- slowpaths ---------------------------------------------------------------
 
     def _slowpath(self, kind: str) -> _Label:
         """Label of the shared per-kind slowpath, created on first use."""
-        if kind not in self._slowpath_labels:
-            self._slowpath_labels[kind] = _Label()
-        return self._slowpath_labels[kind]
+        label = self._slowpath_labels.get(kind)
+        if label is None:
+            label = self._slowpath_labels[kind] = _Label()
+        return label
 
     def _null_check(self, obj_reg: int) -> None:
-        self._emit_fixup("cbz", self._slowpath("pThrowNullPointerException"), (obj_reg, True))
+        self._emit_fixup(_CBZ | obj_reg, self._slowpath("pThrowNullPointerException"), "imm19")
 
     # -- main ---------------------------------------------------------------------
-
-    def _live_masks(self) -> dict[int, list[int]]:
-        """Per block, the live-vreg bitmask *after* each body instruction
-        — the values a safepoint there must keep alive (real StackMaps
-        carry exactly this for GC root enumeration)."""
-        from repro.hgraph.passes.dce import liveness
-
-        live_out = liveness(self._graph)
-        masks: dict[int, list[int]] = {}
-        for bid, block in self._graph.blocks.items():
-            live = set(live_out[bid])
-            term = block.terminator
-            live |= set(term.uses)
-            after: list[int] = []
-            for instr in reversed(block.body):
-                after.append(sum(1 << v for v in live))
-                if instr.dst is not None:
-                    live.discard(instr.dst)
-                live |= set(instr.uses)
-            masks[bid] = list(reversed(after))
-        return masks
 
     def generate(self) -> CompiledMethod:
         graph = self._graph
         order = graph.block_order()
         for bid in order:
             self._block_labels[bid] = _Label()
-        live_masks = self._live_masks()
+        live_out = graph.liveness().live_out
 
         self._prologue()
 
         for position, bid in enumerate(order):
             block = graph.blocks[bid]
             self._bind(self._block_labels[bid])
-            for index, instr in enumerate(block.body):
-                self._current_live_mask = live_masks[bid][index]
-                self._lower(instr)
+            instructions = block.instructions
+            live_after = _live_after(live_out[bid], instructions)
+            for index in range(len(instructions) - 1):
+                self._current_live_mask = live_after[index]
+                self._lower(instructions[index])
                 self._dex_pc += 1
             self._current_live_mask = 0
             next_bid = order[position + 1] if position + 1 < len(order) else None
@@ -311,23 +394,19 @@ class MethodCodegen:
         return self._finalize()
 
     def _prologue(self) -> None:
-        self._emit(asm.stp_pre(regs.FP, regs.LR, regs.SP, -self._frame))
+        self._emit(_pair("stp", "pre", regs.FP, regs.LR, regs.SP, -self._frame))
         # ``mov x29, sp`` must be the add-immediate alias: register 31 is
         # only SP in add/sub-immediate operands, not in ORR.
-        self._emit(ins.AddSubImm(op="add", rd=regs.FP, rn=regs.SP, imm12=0))
+        self._emit(_imm12("add", regs.FP, regs.SP, 0))
         if not self._method.is_leaf:
             self._stack_check()
         # Save the callee-saved registers used as vreg homes.
         homes = self._used_homes
         for k in range(0, len(homes) - 1, 2):
-            self._emit(
-                ins.LoadStorePair(
-                    op="stp", rt=homes[k], rt2=homes[k + 1], rn=regs.SP, offset=16 + 8 * k
-                )
-            )
+            self._emit(_pair("stp", "offset", homes[k], homes[k + 1], regs.SP, 16 + 8 * k))
         if len(homes) % 2:
             k = len(homes) - 1
-            self._emit(asm.str_(homes[k], regs.SP, 16 + 8 * k))
+            self._emit(_ldst(_STR, homes[k], regs.SP, 16 + 8 * k))
         # Move incoming arguments (x1..) into their vreg homes.
         for i in range(self._graph.num_inputs):
             self._commit(i, regs.X1 + i)
@@ -336,63 +415,59 @@ class MethodCodegen:
         self._bind(self._epilogue)
         homes = self._used_homes
         for k in range(0, len(homes) - 1, 2):
-            self._emit(
-                ins.LoadStorePair(
-                    op="ldp", rt=homes[k], rt2=homes[k + 1], rn=regs.SP, offset=16 + 8 * k
-                )
-            )
+            self._emit(_pair("ldp", "offset", homes[k], homes[k + 1], regs.SP, 16 + 8 * k))
         if len(homes) % 2:
             k = len(homes) - 1
-            self._emit(asm.ldr(homes[k], regs.SP, 16 + 8 * k))
-        self._emit(asm.ldr_pair_post(regs.FP, regs.LR, regs.SP, self._frame))
-        self._emit(ins.Ret())
+            self._emit(_ldst(_LDR, homes[k], regs.SP, 16 + 8 * k))
+        self._emit(_pair("ldp", "post", regs.FP, regs.LR, regs.SP, self._frame))
+        self._emit_terminator(_RET)
 
     def _emit_slowpaths(self) -> None:
         for kind, label in self._slowpath_labels.items():
-            start = len(self._entries)
+            start = len(self._words)
             self._bind(label)
             self._runtime_call(kind, dex_pc=-1, kind="slowpath")
-            self._emit(ins.Brk(imm16=0x900))  # unreachable: throws never return
-            self._slowpath_marks.append((start, len(self._entries)))
+            self._emit_terminator(_BRK_SLOWPATH)  # unreachable: throws never return
+            self._slowpath_marks.append((start, len(self._words)))
 
     def _emit_pool(self) -> None:
         if not self._pool:
             return
         # 8-align the pool start with a data padding word if needed.
-        offset = sum(e.size for e in self._entries)
-        if offset % 8:
+        if len(self._words) % 2:
             self._emit_data(b"\x00\x00\x00\x00")
-        self._pool_entry_index: dict[int, int] = {}
-        for slot, (value, symbol) in enumerate(self._pool):
+        for (value, symbol), label in self._pool.items():
+            self._bind(label)
             if symbol is None:
                 assert value is not None
-                data = (value & ((1 << 64) - 1)).to_bytes(8, "little")
-                self._pool_entry_index[slot] = self._emit_data(data)
+                self._emit_data((value & ((1 << 64) - 1)).to_bytes(8, "little"))
             else:
-                self._pool_entry_index[slot] = self._emit_data(
-                    b"\x00" * 8, reloc=(RelocKind.ABS64, symbol, value or 0)
-                )
+                self._emit_data(b"\x00" * 8, reloc=(RelocKind.ABS64, symbol, value or 0))
 
     # -- IR lowering templates -------------------------------------------------
 
     def _lower(self, instr: HInstruction) -> None:
         kind = instr.kind
-        if kind == "const":
-            self._lower_const(instr.dst, instr.extra["value"])
-        elif kind == "const-string":
-            self._lower_const_string(instr.dst, instr.extra["string_idx"])
-        elif kind == "move":
+        if kind == "move":
             src = self._read(instr.uses[0], _SCRATCH[0])
             self._commit(instr.dst, src)
         elif kind == "binop":
-            self._lower_binop(instr)
+            lhs = self._read(instr.uses[0], _SCRATCH[0])
+            rhs = self._read(instr.uses[1], _SCRATCH[1])
+            dst = self._dst_reg(instr.dst, _SCRATCH[2])
+            self._lower_arith(instr.extra["op"], dst, lhs, rhs)
+            self._commit(instr.dst, dst)
         elif kind == "binop-lit":
             self._lower_binop_lit(instr)
+        elif kind == "const":
+            self._lower_const(instr.dst, instr.extra["value"])
+        elif kind == "const-string":
+            self._lower_const_string(instr.dst, instr.extra["string_idx"])
         elif kind in ("invoke-static", "invoke-virtual"):
             self._lower_invoke(instr)
         elif kind == "new-instance":
-            self._emit_many(asm.mov_imm(regs.X0, instr.extra["class_idx"]))
-            self._emit_many(asm.mov_imm(regs.X1, instr.extra["num_fields"]))
+            self._emit_instrs(asm.mov_imm(regs.X0, instr.extra["class_idx"]))
+            self._emit_instrs(asm.mov_imm(regs.X1, instr.extra["num_fields"]))
             self._runtime_call("pAllocObjectResolved", self._dex_pc)
             self._commit(instr.dst, regs.X0)
         elif kind == "new-array":
@@ -403,28 +478,28 @@ class MethodCodegen:
             arr = self._read(instr.uses[0], _SCRATCH[0])
             self._null_check(arr)
             dst = self._dst_reg(instr.dst, _SCRATCH[1])
-            self._emit(asm.ldr(dst, arr, layout.ARRAY_LENGTH_OFFSET))
+            self._emit(_ldst(_LDR, dst, arr, layout.ARRAY_LENGTH_OFFSET))
             self._commit(instr.dst, dst)
         elif kind == "iget":
             obj = self._read(instr.uses[0], _SCRATCH[0])
             self._null_check(obj)
             dst = self._dst_reg(instr.dst, _SCRATCH[1])
-            self._emit(asm.ldr(dst, obj, self._field_offset(instr.extra["field_idx"])))
+            self._emit(_ldst(_LDR, dst, obj, self._field_offset(instr.extra["field_idx"])))
             self._commit(instr.dst, dst)
         elif kind == "iput":
             src = self._read(instr.uses[0], _SCRATCH[0])
             obj = self._read(instr.uses[1], _SCRATCH[1])
             self._null_check(obj)
-            self._emit(asm.str_(src, obj, self._field_offset(instr.extra["field_idx"])))
+            self._emit(_ldst(_STR, src, obj, self._field_offset(instr.extra["field_idx"])))
         elif kind == "aget":
             addr = self._array_element_addr(instr.uses[0], instr.uses[1])
             dst = self._dst_reg(instr.dst, _SCRATCH[0])
-            self._emit(asm.ldr(dst, addr, layout.ARRAY_HEADER_SIZE))
+            self._emit(_ldst(_LDR, dst, addr, layout.ARRAY_HEADER_SIZE))
             self._commit(instr.dst, dst)
         elif kind == "aput":
             addr = self._array_element_addr(instr.uses[1], instr.uses[2])
             src = self._read(instr.uses[0], _SCRATCH[3])
-            self._emit(asm.str_(src, addr, layout.ARRAY_HEADER_SIZE))
+            self._emit(_ldst(_STR, src, addr, layout.ARRAY_HEADER_SIZE))
         else:  # pragma: no cover - exhaustive over IR kinds
             raise NotImplementedError(kind)
 
@@ -438,27 +513,28 @@ class MethodCodegen:
         The unsigned ``b.hs`` against the length catches negative indices
         too (they become huge unsigned values) — the same trick ART uses.
         """
+        s2 = _SCRATCH[2]
         arr = self._read(arr_vreg, _SCRATCH[0])
         self._null_check(arr)
         idx = self._read(idx_vreg, _SCRATCH[1])
-        self._emit(asm.ldr(_SCRATCH[2], arr, layout.ARRAY_LENGTH_OFFSET))
-        self._emit(asm.cmp_reg(idx, _SCRATCH[2]))
+        self._emit(_ldst(_LDR, s2, arr, layout.ARRAY_LENGTH_OFFSET))
+        self._emit(_CMP_REG | (s2 << 16) | (idx << 5))
         self._emit_fixup(
-            "bcond", self._slowpath("pThrowArrayIndexOutOfBounds"), (ins.Cond.HS,)
+            _BCOND | ins.Cond.HS, self._slowpath("pThrowArrayIndexOutOfBounds"), "imm19"
         )
-        self._emit(ins.MoveWide(op="movz", rd=_SCRATCH[2], imm16=8))
-        self._emit(asm.mul(_SCRATCH[2], idx, _SCRATCH[2]))
-        self._emit(asm.add_reg(_SCRATCH[2], _SCRATCH[2], arr))
-        return _SCRATCH[2]
+        self._emit(_movz(s2, 8))
+        self._emit(_ALU_RRR["mul"] | (s2 << 16) | (idx << 5) | s2)
+        self._emit(_ALU_RRR["add"] | (arr << 16) | (s2 << 5) | s2)
+        return s2
 
     def _lower_const(self, dst: int, value: int) -> None:
         reg = self._dst_reg(dst, _SCRATCH[0])
         if 0 <= value < (1 << 16):
-            self._emit(ins.MoveWide(op="movz", rd=reg, imm16=value))
+            self._emit(_movz(reg, value))
         elif -(1 << 16) <= value < 0:
-            self._emit(ins.MoveWide(op="movn", rd=reg, imm16=~value & 0xFFFF))
+            self._emit(_MOVN | ((~value & 0xFFFF) << 5) | reg)
         elif 0 <= value < (1 << 32) and value & 0xFFFF == 0:
-            self._emit(ins.MoveWide(op="movz", rd=reg, imm16=value >> 16, hw=1))
+            self._emit(_movz(reg, value >> 16, hw=1))
         else:
             self._load_literal(reg, value)
         self._commit(dst, reg)
@@ -466,36 +542,21 @@ class MethodCodegen:
     def _lower_const_string(self, dst: int, string_idx: int) -> None:
         reg = self._dst_reg(dst, _SCRATCH[0])
         symbol = f"data:string:{string_idx}"
-        self._emit_reloc(ins.Adrp(rd=reg, page_offset=0), RelocKind.ADRP_PAGE21, symbol)
-        self._emit_reloc(
-            ins.AddSubImm(op="add", rd=reg, rn=reg, imm12=0), RelocKind.ADD_LO12, symbol
-        )
+        self._emit_reloc(_ADRP | reg, RelocKind.ADRP_PAGE21, symbol)
+        self._emit_reloc(_imm12("add", reg, reg, 0), RelocKind.ADD_LO12, symbol)
         self._commit(dst, reg)
 
-    def _lower_binop(self, instr: HInstruction) -> None:
-        op = instr.extra["op"]
-        lhs = self._read(instr.uses[0], _SCRATCH[0])
-        rhs = self._read(instr.uses[1], _SCRATCH[1])
-        dst = self._dst_reg(instr.dst, _SCRATCH[2])
+    def _lower_arith(self, op: str, dst: int, lhs: int, rhs: int) -> None:
+        """``dst = lhs <op> rhs`` on registers (the tail both binop forms share)."""
         if op == "div":
-            self._emit_fixup("cbz", self._slowpath("pThrowDivZero"), (rhs, True))
-            self._emit(asm.sdiv(dst, lhs, rhs))
-        elif op in ("add", "sub"):
-            self._emit(ins.AddSubReg(op=op, rd=dst, rn=lhs, rm=rhs))
-        elif op == "mul":
-            self._emit(asm.mul(dst, lhs, rhs))
-        elif op in ("shl", "shr", "ushr"):
-            name = {"shl": "lsl", "shr": "asr", "ushr": "lsr"}[op]
-            self._emit(ins.ShiftVar(op=name, rd=dst, rn=lhs, rm=rhs))
-        elif op in ("min", "max"):
+            self._emit_fixup(_CBZ | rhs, self._slowpath("pThrowDivZero"), "imm19")
+        cond = _MIN_MAX_COND.get(op)
+        if cond is not None:
             # The Math.min/max intrinsic lowering: cmp + csel.
-            cond = ins.Cond.LE if op == "min" else ins.Cond.GE
-            self._emit(asm.cmp_reg(lhs, rhs))
-            self._emit(ins.CSel(rd=dst, rn=lhs, rm=rhs, cond=cond))
-        else:  # and / or / xor
-            name = {"and": "and", "or": "orr", "xor": "eor"}[op]
-            self._emit(ins.LogicalReg(op=name, rd=dst, rn=lhs, rm=rhs))
-        self._commit(instr.dst, dst)
+            self._emit(_CMP_REG | (rhs << 16) | (lhs << 5))
+            self._emit(_CSEL | (rhs << 16) | (cond << 12) | (lhs << 5) | dst)
+        else:
+            self._emit(_ALU_RRR[op] | (rhs << 16) | (lhs << 5) | dst)
 
     def _lower_binop_lit(self, instr: HInstruction) -> None:
         op = instr.extra["op"]
@@ -503,24 +564,10 @@ class MethodCodegen:
         lhs = self._read(instr.uses[0], _SCRATCH[0])
         dst = self._dst_reg(instr.dst, _SCRATCH[2])
         if op in ("add", "sub"):
-            self._emit(ins.AddSubImm(op=op, rd=dst, rn=lhs, imm12=literal))
+            self._emit(_imm12(op, dst, lhs, literal))
         else:
-            self._emit(ins.MoveWide(op="movz", rd=_SCRATCH[1], imm16=literal))
-            if op == "mul":
-                self._emit(asm.mul(dst, lhs, _SCRATCH[1]))
-            elif op == "div":
-                self._emit_fixup("cbz", self._slowpath("pThrowDivZero"), (_SCRATCH[1], True))
-                self._emit(asm.sdiv(dst, lhs, _SCRATCH[1]))
-            elif op in ("shl", "shr", "ushr"):
-                name = {"shl": "lsl", "shr": "asr", "ushr": "lsr"}[op]
-                self._emit(ins.ShiftVar(op=name, rd=dst, rn=lhs, rm=_SCRATCH[1]))
-            elif op in ("min", "max"):
-                cond = ins.Cond.LE if op == "min" else ins.Cond.GE
-                self._emit(asm.cmp_reg(lhs, _SCRATCH[1]))
-                self._emit(ins.CSel(rd=dst, rn=lhs, rm=_SCRATCH[1], cond=cond))
-            else:
-                name = {"and": "and", "or": "orr", "xor": "eor"}[op]
-                self._emit(ins.LogicalReg(op=name, rd=dst, rn=lhs, rm=_SCRATCH[1]))
+            self._emit(_movz(_SCRATCH[1], literal))
+            self._lower_arith(op, dst, lhs, _SCRATCH[1])
         self._commit(instr.dst, dst)
 
     def _lower_invoke(self, instr: HInstruction) -> None:
@@ -543,25 +590,22 @@ class MethodCodegen:
     def _terminate(self, term: HInstruction, successors: list[int], next_bid: int | None) -> None:
         kind = term.kind
         if kind == "goto":
-            if successors[0] != next_bid:
-                self._emit_fixup("b", self._block_labels[successors[0]])
-            else:
-                # Fallthrough still ends the block: an explicit terminator
-                # is required for LTBO's separator map, as in real OAT
-                # code every block boundary is observable.  A fallthrough
-                # goto costs nothing after linking, so emit the branch.
-                self._emit_fixup("b", self._block_labels[successors[0]])
+            # Even a fallthrough goto is emitted: an explicit terminator
+            # is required for LTBO's separator map, as in real OAT code
+            # every block boundary is observable.  A fallthrough goto
+            # costs nothing after linking, so emit the branch.
+            self._emit_fixup(_B, self._block_labels[successors[0]], "imm26")
         elif kind == "if":
             taken, fallthrough = successors
             self._lower_condition(term, self._block_labels[taken])
             if fallthrough != next_bid:
-                self._emit_fixup("b", self._block_labels[fallthrough])
+                self._emit_fixup(_B, self._block_labels[fallthrough], "imm26")
         elif kind == "return":
             self._read_into(term.uses[0], regs.X0)
-            self._emit_fixup("b", self._epilogue)
+            self._emit_fixup(_B, self._epilogue, "imm26")
         elif kind == "return-void":
-            self._emit(ins.MoveWide(op="movz", rd=regs.X0, imm16=0))
-            self._emit_fixup("b", self._epilogue)
+            self._emit(_movz(regs.X0, 0))
+            self._emit_fixup(_B, self._epilogue, "imm26")
         elif kind == "switch":
             self._lower_switch(term, successors)
         else:  # pragma: no cover
@@ -572,45 +616,47 @@ class MethodCodegen:
         lhs = self._read(term.uses[0], _SCRATCH[0])
         if term.extra.get("zero"):
             if cmp == "eq":
-                self._emit_fixup("cbz", taken, (lhs, True))
+                self._emit_fixup(_CBZ | lhs, taken, "imm19")
                 return
             if cmp == "ne":
-                self._emit_fixup("cbnz", taken, (lhs, True))
+                self._emit_fixup(_CBNZ | lhs, taken, "imm19")
                 return
+            # Sign bit 63: b5 = 1, b40 = 31.
             if cmp == "lt":
-                self._emit_fixup("tbnz", taken, (lhs, 63))
+                self._emit_fixup(_TBNZ | (1 << 31) | (31 << 19) | lhs, taken, "imm14")
                 return
             if cmp == "ge":
-                self._emit_fixup("tbz", taken, (lhs, 63))
+                self._emit_fixup(_TBZ | (1 << 31) | (31 << 19) | lhs, taken, "imm14")
                 return
-            self._emit(asm.cmp_imm(lhs, 0))
+            self._emit(_imm12("cmp", regs.XZR, lhs, 0))
         else:
             rhs = self._read(term.uses[1], _SCRATCH[1])
-            self._emit(asm.cmp_reg(lhs, rhs))
-        self._emit_fixup("bcond", taken, (_COND_OF_CMP[cmp],))
+            self._emit(_CMP_REG | (rhs << 16) | (lhs << 5))
+        self._emit_fixup(_BCOND | _COND_OF_CMP[cmp], taken, "imm19")
 
     def _lower_switch(self, term: HInstruction, successors: list[int]) -> None:
         self._has_indirect_jump = True
+        s0, s1, s2 = _SCRATCH[0], _SCRATCH[1], _SCRATCH[2]
         first_key = term.extra["first_key"]
         n_targets = len(term.extra["targets"])
         default_label = self._block_labels[successors[-1]]
-        value = self._read(term.uses[0], _SCRATCH[0])
+        value = self._read(term.uses[0], s0)
         if first_key:
             if 0 <= first_key < 4096:
-                self._emit(ins.AddSubImm(op="sub", rd=_SCRATCH[0], rn=value, imm12=first_key))
+                self._emit(_imm12("sub", s0, value, first_key))
             else:
-                self._load_literal(_SCRATCH[1], first_key)
-                self._emit(asm.sub_reg(_SCRATCH[0], value, _SCRATCH[1]))
-            value = _SCRATCH[0]
-        self._emit(asm.cmp_imm(value, n_targets))
-        self._emit_fixup("bcond", default_label, (ins.Cond.HS,))
+                self._load_literal(s1, first_key)
+                self._emit(_ALU_RRR["sub"] | (s1 << 16) | (value << 5) | s0)
+            value = s0
+        self._emit(_imm12("cmp", regs.XZR, value, n_targets))
+        self._emit_fixup(_BCOND | ins.Cond.HS, default_label, "imm19")
         table_label = _Label()
-        self._emit_fixup("adr", table_label, (_SCRATCH[1],))
-        self._emit(ins.MoveWide(op="movz", rd=_SCRATCH[2], imm16=8))
-        self._emit(asm.mul(_SCRATCH[2], value, _SCRATCH[2]))
-        self._emit(asm.add_reg(_SCRATCH[1], _SCRATCH[1], _SCRATCH[2]))
-        self._emit(asm.ldr(_SCRATCH[1], _SCRATCH[1], 0))
-        self._emit(ins.Br(rn=_SCRATCH[1]))
+        self._emit_fixup(_ADR | s1, table_label, "adr", terminator=False)
+        self._emit(_movz(s2, 8))
+        self._emit(_ALU_RRR["mul"] | (s2 << 16) | (value << 5) | s2)
+        self._emit(_ALU_RRR["add"] | (s2 << 16) | (s1 << 5) | s1)
+        self._emit(_ldst(_LDR, s1, s1, 0))
+        self._emit_terminator(_BR | (s1 << 5))
         # Jump table: 8-byte absolute entries, relocated to local labels.
         self._bind(table_label)
         for succ in successors[:-1]:
@@ -619,119 +665,80 @@ class MethodCodegen:
     # -- finalisation -------------------------------------------------------------
 
     def _finalize(self) -> CompiledMethod:
-        offsets: list[int] = []
-        offset = 0
-        for entry in self._entries:
-            offsets.append(offset)
-            offset += entry.size
-        total = offset
-
-        def label_offset(label: _Label) -> int:
-            if label.entry is None:
-                raise CodegenError(f"{self._graph.method_name}: unbound label")
-            return offsets[label.entry] if label.entry < len(offsets) else total
-
-        code = bytearray()
+        """Place every displacement, build the side tables and join the
+        code once."""
+        name = self._graph.method_name
+        words = self._words
         pc_relative: list[PcRelativeRef] = []
-        terminators: list[int] = []
+        for index, label, field in self._fixups:
+            delta = self._label_offset(label) - 4 * index
+            words[index] |= _place(field, delta)
+            pc_relative.append(PcRelativeRef(offset=4 * index, target=4 * index + delta))
         relocations: list[Relocation] = []
-        data_extents: list[DataExtent] = []
-
-        for idx, entry in enumerate(self._entries):
-            here = offsets[idx]
-            instr = entry.instr
-            if entry.fixup is not None:
-                kind, label, payload = entry.fixup
-                if kind == "lit":
-                    rt, slot = payload
-                    target = offsets[self._pool_entry_index[slot]]
-                    instr = ins.LoadLiteral(rt=rt, offset=target - here)
-                else:
-                    target = label_offset(label)
-                    delta = target - here
-                    if kind == "b":
-                        instr = ins.B(offset=delta)
-                    elif kind == "bcond":
-                        instr = ins.BCond(cond=payload[0], offset=delta)
-                    elif kind == "cbz":
-                        instr = ins.Cbz(rt=payload[0], offset=delta, sf=payload[1])
-                    elif kind == "cbnz":
-                        instr = ins.Cbnz(rt=payload[0], offset=delta, sf=payload[1])
-                    elif kind == "tbz":
-                        instr = ins.Tbz(rt=payload[0], bit=payload[1], offset=delta)
-                    elif kind == "tbnz":
-                        instr = ins.Tbnz(rt=payload[0], bit=payload[1], offset=delta)
-                    elif kind == "adr":
-                        instr = ins.Adr(rd=payload[0], offset=delta)
-                    else:  # pragma: no cover
-                        raise NotImplementedError(kind)
-                pc_relative.append(PcRelativeRef(offset=here, target=here + instr.target_offset))
-            if entry.is_data:
-                code += entry.data
-                data_extents.append(DataExtent(start=here, size=len(entry.data)))
-                if entry.reloc is not None:
-                    if entry.reloc[0] == "local_label":
-                        relocations.append(
-                            Relocation(
-                                offset=here,
-                                kind=RelocKind.LOCAL_ABS64,
-                                symbol=self._graph.method_name,
-                                addend=label_offset(entry.reloc[1]),
-                            )
-                        )
-                    else:
-                        kind, symbol, addend = entry.reloc
-                        relocations.append(
-                            Relocation(offset=here, kind=kind, symbol=symbol, addend=addend)
-                        )
-                continue
-            assert instr is not None
-            if entry.reloc is not None:
-                kind, symbol, addend = entry.reloc
-                relocations.append(Relocation(offset=here, kind=kind, symbol=symbol, addend=addend))
-            if instr.is_terminator:
-                terminators.append(here)
-            code += instr.encode_bytes()
+        for index, reloc in self._relocs:
+            if reloc[0] == "local_label":
+                reloc = (RelocKind.LOCAL_ABS64, name, self._label_offset(reloc[1]))
+            relocations.append(Relocation(4 * index, *reloc))
+        code = struct.pack(f"<{len(words)}I", *words)
 
         # Coalesce adjacent data extents (pool padding + slots, tables).
         merged: list[DataExtent] = []
-        for extent in sorted(data_extents, key=lambda e: e.start):
-            if merged and merged[-1].end == extent.start:
-                merged[-1] = DataExtent(start=merged[-1].start, size=merged[-1].size + extent.size)
+        for index, size in self._data:
+            start = 4 * index
+            if merged and merged[-1].end == start:
+                merged[-1] = DataExtent(start=merged[-1].start, size=merged[-1].size + size)
             else:
-                merged.append(extent)
+                merged.append(DataExtent(start=start, size=size))
 
-        stackmaps = StackMapTable(method_name=self._graph.method_name)
-        for entry_idx, dex_pc, kind, live_mask in self._stackmap_marks:
-            native_pc = offsets[entry_idx] if entry_idx < len(offsets) else total
-            stackmaps.add(
-                native_pc=native_pc, dex_pc=dex_pc, kind=kind, live_vregs=live_mask
-            )
-
-        slowpaths = [
-            SlowpathExtent(start=offsets[s], end=offsets[e] if e < len(offsets) else total)
-            for s, e in self._slowpath_marks
-        ]
+        stackmaps = StackMapTable(method_name=name)
+        for index, dex_pc, kind, live_mask in self._stackmap_marks:
+            stackmaps.add(native_pc=4 * index, dex_pc=dex_pc, kind=kind, live_vregs=live_mask)
 
         metadata = MethodMetadata(
-            method_name=self._graph.method_name,
+            method_name=name,
             code_size=len(code),
             embedded_data=merged,
             pc_relative=pc_relative,
-            terminators=terminators,
+            terminators=[4 * index for index in self._terminators],
             has_indirect_jump=self._has_indirect_jump,
             is_native=False,
-            slowpaths=slowpaths,
+            slowpaths=[
+                SlowpathExtent(start=4 * start, end=4 * end)
+                for start, end in self._slowpath_marks
+            ],
         )
         return CompiledMethod(
-            name=self._graph.method_name,
-            code=bytes(code),
+            name=name,
+            code=code,
             relocations=relocations,
             metadata=metadata,
             stackmaps=stackmaps,
             frame_size=self._frame,
             callees=tuple(dict.fromkeys(self._callees)),
         )
+
+    def _label_offset(self, label: _Label) -> int:
+        if label.index is None:
+            raise CodegenError(f"{self._graph.method_name}: unbound label")
+        return 4 * label.index
+
+
+def _live_after(live_out: int, instructions: list[HInstruction]) -> list[int]:
+    """The live-vreg bitmask *after* each instruction of a block, from
+    the block's ``live_out`` — the values a safepoint there must keep
+    alive (real StackMaps carry exactly this for GC root enumeration).
+    The terminator's own uses count as live after the last body
+    instruction."""
+    masks = [0] * len(instructions)
+    live = live_out
+    for index in range(len(instructions) - 1, -1, -1):
+        masks[index] = live
+        instr = instructions[index]
+        if instr.dst is not None:
+            live &= ~(1 << instr.dst)
+        for use in instr.uses:
+            live |= 1 << use
+    return masks
 
 
 def compile_graph(

@@ -86,23 +86,32 @@ def dex2oat(
     compiled: list[CompiledMethod] = []
     before = after = 0
     native_stubs = 0
-    traced = obs.current_tracer() is not None
+    tracer = obs.current_tracer()
+    # The passes run per method between IR construction and code
+    # generation; their summed time becomes the ``dex2oat.opt`` span.
+    opt_seconds = 0.0
     with obs.span("dex2oat.codegen"):
         for method_id, method in enumerate(methods):
-            t0 = time.perf_counter() if traced else 0.0
+            t0 = time.perf_counter()
             if method.is_native:
                 compiled.append(compile_jni_stub(method, method_id, cache))
                 native_stubs += 1
             else:
-                graph = graphs[method.name]
+                # Popped: each graph is freed as soon as it is compiled.
+                graph = graphs.pop(method.name)
                 stats = manager.run(graph)
+                opt_seconds += time.perf_counter() - t0
                 before += stats.instructions_before
                 after += stats.instructions_after
                 compiled.append(compile_graph(graph, method, cache))
-            if traced:
+            if tracer is not None:
                 obs.histogram_observe(
                     "compile.method_seconds", time.perf_counter() - t0
                 )
+        if tracer is not None and tracer.current_span is not None:
+            tracer.record_span(
+                "dex2oat.opt", opt_seconds, start=tracer.current_span.start
+            )
     if cache is not None:
         with obs.span("dex2oat.thunks"):
             thunks = cache.compiled_thunks()

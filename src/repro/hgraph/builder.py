@@ -8,6 +8,8 @@ single-exit, matching what the code generator expects.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.dex import bytecode as bc
 from repro.dex.method import DexMethod
 from repro.hgraph.ir import HBasicBlock, HGraph, HInstruction
@@ -15,63 +17,37 @@ from repro.hgraph.ir import HBasicBlock, HGraph, HInstruction
 __all__ = ["build_hgraph"]
 
 
-def _lower(instr: bc.Instruction) -> HInstruction | None:
-    """Translate one non-branch dex instruction; ``None`` drops it."""
-    if isinstance(instr, bc.Nop):
-        return None
-    if isinstance(instr, bc.Const):
-        return HInstruction("const", dst=instr.dst, extra={"value": instr.value})
-    if isinstance(instr, bc.ConstString):
-        return HInstruction(
-            "const-string", dst=instr.dst, extra={"string_idx": instr.string_idx}
-        )
-    if isinstance(instr, bc.Move):
-        return HInstruction("move", dst=instr.dst, uses=(instr.src,))
-    if isinstance(instr, bc.BinOp):
-        return HInstruction(
-            "binop", dst=instr.dst, uses=(instr.lhs, instr.rhs), extra={"op": instr.op}
-        )
-    if isinstance(instr, bc.BinOpLit):
-        return HInstruction(
-            "binop-lit",
-            dst=instr.dst,
-            uses=(instr.lhs,),
-            extra={"op": instr.op, "literal": instr.literal},
-        )
-    if isinstance(instr, bc.InvokeStatic):
-        return HInstruction(
-            "invoke-static", dst=instr.dst, uses=tuple(instr.args), extra={"method": instr.method}
-        )
-    if isinstance(instr, bc.InvokeVirtual):
-        return HInstruction(
-            "invoke-virtual",
-            dst=instr.dst,
-            uses=(instr.receiver,) + tuple(instr.args),
-            extra={"method": instr.method},
-        )
-    if isinstance(instr, bc.NewInstance):
-        return HInstruction(
-            "new-instance",
-            dst=instr.dst,
-            extra={"class_idx": instr.class_idx, "num_fields": instr.num_fields},
-        )
-    if isinstance(instr, bc.NewArray):
-        return HInstruction("new-array", dst=instr.dst, uses=(instr.size,))
-    if isinstance(instr, bc.ArrayLength):
-        return HInstruction("array-length", dst=instr.dst, uses=(instr.array,))
-    if isinstance(instr, bc.IGet):
-        return HInstruction(
-            "iget", dst=instr.dst, uses=(instr.obj,), extra={"field_idx": instr.field_idx}
-        )
-    if isinstance(instr, bc.IPut):
-        return HInstruction(
-            "iput", uses=(instr.src, instr.obj), extra={"field_idx": instr.field_idx}
-        )
-    if isinstance(instr, bc.AGet):
-        return HInstruction("aget", dst=instr.dst, uses=(instr.array, instr.index))
-    if isinstance(instr, bc.APut):
-        return HInstruction("aput", uses=(instr.src, instr.array, instr.index))
-    raise NotImplementedError(f"cannot lower {type(instr).__name__}")
+#: Dex instruction class → its HGraph lowering of a non-branch
+#: instruction (``None`` drops it).
+_LOWERINGS: dict[type, Callable[..., HInstruction | None]] = {
+    bc.Nop: lambda i: None,
+    bc.Const: lambda i: HInstruction("const", i.dst, (), {"value": i.value}),
+    bc.ConstString: lambda i: HInstruction(
+        "const-string", i.dst, (), {"string_idx": i.string_idx}
+    ),
+    bc.Move: lambda i: HInstruction("move", i.dst, (i.src,)),
+    bc.BinOp: lambda i: HInstruction("binop", i.dst, (i.lhs, i.rhs), {"op": i.op}),
+    bc.BinOpLit: lambda i: HInstruction(
+        "binop-lit", i.dst, (i.lhs,), {"op": i.op, "literal": i.literal}
+    ),
+    bc.InvokeStatic: lambda i: HInstruction(
+        "invoke-static", i.dst, tuple(i.args), {"method": i.method}
+    ),
+    bc.InvokeVirtual: lambda i: HInstruction(
+        "invoke-virtual", i.dst, (i.receiver,) + tuple(i.args), {"method": i.method}
+    ),
+    bc.NewInstance: lambda i: HInstruction(
+        "new-instance", i.dst, (), {"class_idx": i.class_idx, "num_fields": i.num_fields}
+    ),
+    bc.NewArray: lambda i: HInstruction("new-array", i.dst, (i.size,)),
+    bc.ArrayLength: lambda i: HInstruction("array-length", i.dst, (i.array,)),
+    bc.IGet: lambda i: HInstruction("iget", i.dst, (i.obj,), {"field_idx": i.field_idx}),
+    bc.IPut: lambda i: HInstruction(
+        "iput", None, (i.src, i.obj), {"field_idx": i.field_idx}
+    ),
+    bc.AGet: lambda i: HInstruction("aget", i.dst, (i.array, i.index)),
+    bc.APut: lambda i: HInstruction("aput", None, (i.src, i.array, i.index)),
+}
 
 
 def build_hgraph(method: DexMethod) -> HGraph:
@@ -105,7 +81,10 @@ def build_hgraph(method: DexMethod) -> HGraph:
             if dex_instr.is_branch:
                 _terminate(block, dex_instr, idx, block_of_leader)
                 break
-            lowered = _lower(dex_instr)
+            lowering = _LOWERINGS.get(type(dex_instr))
+            if lowering is None:
+                raise NotImplementedError(f"cannot lower {type(dex_instr).__name__}")
+            lowered = lowering(dex_instr)
             if lowered is not None:
                 block.instructions.append(lowered)
             idx += 1

@@ -19,10 +19,13 @@ implicit in the memory/arith operations and are materialised as compare
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, TypeVar
 
-__all__ = ["HBasicBlock", "HGraph", "HInstruction", "IRValidationError"]
+from repro.hgraph.liveness import Liveness, compute_liveness
+
+__all__ = ["HBasicBlock", "HGraph", "HInstruction", "IRValidationError", "graph_transform"]
 
 #: Instruction kinds that terminate a block.
 TERMINATOR_KINDS = frozenset({"if", "goto", "switch", "return", "return-void"})
@@ -38,8 +41,17 @@ THROWING_KINDS = frozenset(
     {"invoke-virtual", "iget", "iput", "aget", "aput", "array-length", "new-array"}
 )
 
+#: Kinds that are never removable, whatever their operands.
+_KEPT_KINDS = TERMINATOR_KINDS | SIDE_EFFECT_KINDS | THROWING_KINDS
+#: Arithmetic kinds whose ``div`` form throws (division by zero).
+_ARITH_KINDS = frozenset({"binop", "binop-lit"})
 
-@dataclass
+#: Block terminator kind → required successor count (``switch`` is
+#: checked against its target list).
+_SUCCESSOR_COUNT = {"if": 2, "goto": 1, "return": 0, "return-void": 0}
+
+
+@dataclass(slots=True)
 class HInstruction:
     """One IR operation.
 
@@ -65,16 +77,16 @@ class HInstruction:
     def can_throw(self) -> bool:
         if self.kind in THROWING_KINDS:
             return True
-        return self.kind in ("binop", "binop-lit") and self.extra.get("op") == "div"
+        return self.kind in _ARITH_KINDS and self.extra.get("op") == "div"
 
     @property
     def is_removable_if_dead(self) -> bool:
-        """Pure computations may be dropped when their result is dead."""
-        return (
-            not self.is_terminator
-            and not self.has_side_effects
-            and not self.can_throw
-        )
+        """Pure computations may be dropped when their result is dead:
+        not a terminator, no side effects, cannot throw."""
+        kind = self.kind
+        if kind in _KEPT_KINDS:
+            return False
+        return kind not in _ARITH_KINDS or self.extra.get("op") != "div"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dst = f"v{self.dst} <- " if self.dst is not None else ""
@@ -83,7 +95,7 @@ class HInstruction:
         return f"<{dst}{self.kind}({uses}){extra}>"
 
 
-@dataclass
+@dataclass(slots=True)
 class HBasicBlock:
     """A straight-line instruction run ending in one terminator."""
 
@@ -122,6 +134,23 @@ class HGraph:
     num_inputs: int
     blocks: dict[int, HBasicBlock] = field(default_factory=dict)
     entry_id: int = 0
+    _liveness: Liveness | None = field(default=None, init=False, repr=False, compare=False)
+
+    def liveness(self) -> Liveness:
+        """Per-block live-in/live-out register bitmasks.
+
+        Computed on first use and shared by every reader (DCE, LICM,
+        code generation) until a pass changes the graph: functions
+        decorated with :func:`graph_transform` drop it whenever they
+        report a change, and a transform that reads liveness between
+        its own edits calls :meth:`invalidate_liveness` itself.
+        """
+        if self._liveness is None:
+            self._liveness = compute_liveness(self)
+        return self._liveness
+
+    def invalidate_liveness(self) -> None:
+        self._liveness = None
 
     def block_order(self) -> list[int]:
         """Reverse-post-order from the entry — the layout order used by
@@ -159,42 +188,67 @@ class HGraph:
 
     def validate(self) -> None:
         """Check the structural invariants the code generator relies on."""
-        if self.entry_id not in self.blocks:
-            raise IRValidationError(f"{self.method_name}: entry block missing")
-        for bid, block in self.blocks.items():
+        name = self.method_name
+        blocks = self.blocks
+        if self.entry_id not in blocks:
+            raise IRValidationError(f"{name}: entry block missing")
+        num_registers = self.num_registers
+        for bid, block in blocks.items():
             if bid != block.block_id:
-                raise IRValidationError(f"{self.method_name}: block id mismatch at {bid}")
-            if not block.instructions:
-                raise IRValidationError(f"{self.method_name}: empty block {bid}")
-            for instr in block.body:
-                if instr.is_terminator:
+                raise IRValidationError(f"{name}: block id mismatch at {bid}")
+            instructions = block.instructions
+            if not instructions:
+                raise IRValidationError(f"{name}: empty block {bid}")
+            last = len(instructions) - 1
+            for position, instr in enumerate(instructions):
+                if instr.kind in TERMINATOR_KINDS and position != last:
                     raise IRValidationError(
-                        f"{self.method_name}: terminator in the middle of block {bid}"
+                        f"{name}: terminator in the middle of block {bid}"
                     )
             term = block.terminator
-            expected = {
-                "if": 2,
-                "goto": 1,
-                "return": 0,
-                "return-void": 0,
-            }
-            if term.kind in expected and len(block.successors) != expected[term.kind]:
+            successors = block.successors
+            expected = _SUCCESSOR_COUNT.get(term.kind)
+            if expected is not None and len(successors) != expected:
                 raise IRValidationError(
-                    f"{self.method_name}: block {bid} terminator {term.kind} has "
-                    f"{len(block.successors)} successors"
+                    f"{name}: block {bid} terminator {term.kind} has "
+                    f"{len(successors)} successors"
                 )
-            if term.kind == "switch" and len(block.successors) != len(term.extra["targets"]) + 1:
+            if term.kind == "switch" and len(successors) != len(term.extra["targets"]) + 1:
                 raise IRValidationError(
-                    f"{self.method_name}: block {bid} switch successor count mismatch"
+                    f"{name}: block {bid} switch successor count mismatch"
                 )
-            for succ in block.successors:
-                if succ not in self.blocks:
+            for succ in successors:
+                if succ not in blocks:
                     raise IRValidationError(
-                        f"{self.method_name}: block {bid} points at missing block {succ}"
+                        f"{name}: block {bid} points at missing block {succ}"
                     )
-            for instr in block.instructions:
-                for reg in (instr.uses + ((instr.dst,) if instr.dst is not None else ())):
-                    if not 0 <= reg < self.num_registers:
+            for instr in instructions:
+                for reg in instr.uses:
+                    if not 0 <= reg < num_registers:
                         raise IRValidationError(
-                            f"{self.method_name}: v{reg} out of range in block {bid}"
+                            f"{name}: v{reg} out of range in block {bid}"
                         )
+                dst = instr.dst
+                if dst is not None and not 0 <= dst < num_registers:
+                    raise IRValidationError(f"{name}: v{dst} out of range in block {bid}")
+
+
+_Pass = TypeVar("_Pass", bound=Callable[..., Any])
+
+
+def graph_transform(fn: _Pass) -> _Pass:
+    """Mark ``fn(graph, ...)`` as a graph transformation.
+
+    A truthy result means the transformation changed ``graph``, so the
+    graph's shared liveness (:meth:`HGraph.liveness`) is dropped; a
+    falsy result promises the graph is unchanged.
+    """
+
+    @functools.wraps(fn)
+    def transform(graph: HGraph, *args: Any, **kwargs: Any) -> Any:
+        result = fn(graph, *args, **kwargs)
+        if result:
+            graph.invalidate_liveness()
+        return result
+
+    return transform  # type: ignore[return-value]

@@ -6,7 +6,7 @@ Reduction in Android")."""
 from __future__ import annotations
 
 from repro.dex.interp import wrap64
-from repro.hgraph.ir import HGraph, HInstruction
+from repro.hgraph.ir import HGraph, HInstruction, graph_transform
 
 __all__ = ["fold_constants"]
 
@@ -57,6 +57,7 @@ def _compare(cmp: str, lhs: int, rhs: int) -> bool:
     }[cmp]
 
 
+@graph_transform
 def fold_constants(graph: HGraph) -> bool:
     """Fold constant expressions; statically resolve constant branches.
 
@@ -65,22 +66,24 @@ def fold_constants(graph: HGraph) -> bool:
     changed = False
     for block in graph.blocks.values():
         known: dict[int, int] = {}
-        new_body: list[HInstruction] = []
-        for instr in block.body:
+        instructions = block.instructions
+        last = len(instructions) - 1
+        for index in range(last):
+            instr = instructions[index]
             folded = _fold_one(instr, known)
             if folded is not instr:
                 changed = True
-            new_body.append(folded)
+                instructions[index] = folded
             if folded.kind == "const":
                 known[folded.dst] = folded.extra["value"]
             elif folded.dst is not None:
                 known.pop(folded.dst, None)
-        term = block.terminator
+        term = instructions[last]
         new_term, keep_successor = _fold_terminator(term, known)
         if new_term is not term:
             changed = True
             block.successors = [block.successors[keep_successor]]
-        block.instructions = new_body + [new_term]
+            instructions[last] = new_term
     if changed:
         graph.recompute_predecessors()
     return changed

@@ -1,71 +1,48 @@
 """Dead code elimination with global liveness.
 
-Backward dataflow over the CFG computes live-in/live-out register sets;
-pure instructions whose destination is dead at their program point are
-removed.  Throwing and side-effecting instructions always survive (their
-slowpath or effect is observable), matching dex2oat's conservatism.
+Backward dataflow over the CFG computes live-in/live-out register sets
+(as bitmasks, :mod:`repro.hgraph.liveness`); pure instructions whose
+destination is dead at their program point are removed.  Throwing and
+side-effecting instructions always survive (their slowpath or effect is
+observable), matching dex2oat's conservatism.
 """
 
 from __future__ import annotations
 
-from repro.hgraph.ir import HGraph, HInstruction
+from repro.hgraph.ir import HGraph, graph_transform
+from repro.hgraph.liveness import mask_to_set
 
 __all__ = ["eliminate_dead_code", "liveness"]
 
 
-def _use_def(instr: HInstruction) -> tuple[set[int], set[int]]:
-    uses = set(instr.uses)
-    defs = {instr.dst} if instr.dst is not None else set()
-    return uses, defs
-
-
 def liveness(graph: HGraph) -> dict[int, set[int]]:
-    """Compute ``live_out`` per block by iterating to a fixed point."""
-    use_before_def: dict[int, set[int]] = {}
-    defs: dict[int, set[int]] = {}
-    for bid, block in graph.blocks.items():
-        seen_defs: set[int] = set()
-        upward: set[int] = set()
-        for instr in block.instructions:
-            u, d = _use_def(instr)
-            upward |= u - seen_defs
-            seen_defs |= d
-        use_before_def[bid] = upward
-        defs[bid] = seen_defs
-
-    live_in: dict[int, set[int]] = {bid: set() for bid in graph.blocks}
-    live_out: dict[int, set[int]] = {bid: set() for bid in graph.blocks}
-    changed = True
-    while changed:
-        changed = False
-        for bid, block in graph.blocks.items():
-            out: set[int] = set()
-            for succ in block.successors:
-                out |= live_in[succ]
-            new_in = use_before_def[bid] | (out - defs[bid])
-            if out != live_out[bid] or new_in != live_in[bid]:
-                live_out[bid] = out
-                live_in[bid] = new_in
-                changed = True
-    return live_out
+    """``live_out`` register set per block."""
+    return {bid: mask_to_set(mask) for bid, mask in graph.liveness().live_out.items()}
 
 
+@graph_transform
 def eliminate_dead_code(graph: HGraph) -> bool:
     """Remove pure instructions with dead destinations and no-op moves."""
-    live_out = liveness(graph)
+    live_out = graph.liveness().live_out
     changed = False
     for bid, block in graph.blocks.items():
-        live = set(live_out[bid])
-        kept_reversed: list[HInstruction] = []
-        for instr in reversed(block.instructions):
-            uses, defs = _use_def(instr)
-            is_self_move = instr.kind == "move" and instr.dst == instr.uses[0]
-            dead_dst = instr.dst is not None and instr.dst not in live
-            if instr.is_removable_if_dead and (dead_dst or is_self_move):
-                changed = True
+        live = live_out[bid]
+        instructions = block.instructions
+        kept_reversed = []
+        for instr in reversed(instructions):
+            dst = instr.dst
+            if dst is not None and (
+                not (live >> dst) & 1
+                or (instr.kind == "move" and dst == instr.uses[0])
+            ) and instr.is_removable_if_dead:
                 continue
-            live -= defs
-            live |= uses
+            if dst is not None:
+                live &= ~(1 << dst)
+            for use in instr.uses:
+                live |= 1 << use
             kept_reversed.append(instr)
-        block.instructions = list(reversed(kept_reversed))
+        if len(kept_reversed) != len(instructions):
+            kept_reversed.reverse()
+            block.instructions = kept_reversed
+            changed = True
     return changed

@@ -10,58 +10,69 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.hgraph.ir import HGraph, HInstruction
+from repro.hgraph.ir import SIDE_EFFECT_KINDS, HGraph, HInstruction, graph_transform
 
 __all__ = ["value_number"]
 
-#: Expression kinds eligible for value numbering.  Loads participate via
-#: the memory epoch; ``div`` stays out (its throw is an effect we keep).
-_PURE_KINDS = frozenset({"binop", "binop-lit", "const-string", "array-length", "iget", "aget"})
+#: Expression kinds eligible for value numbering, with the ``extra``
+#: fields that distinguish two expressions of the kind.  Loads
+#: participate via the memory epoch; ``div`` stays out (its throw is an
+#: effect we keep).
+_PAYLOAD_FIELDS: dict[str, tuple[str, ...]] = {
+    "binop": ("op",),
+    "binop-lit": ("op", "literal"),
+    "const-string": ("string_idx",),
+    "array-length": (),
+    "iget": ("field_idx",),
+    "aget": (),
+}
+_LOAD_KINDS = frozenset({"iget", "aget", "array-length"})
 
 
-def _key(
-    instr: HInstruction, version: dict[int, int], epoch: int
-) -> Hashable | None:
-    if instr.kind not in _PURE_KINDS:
-        return None
-    if instr.kind in ("binop", "binop-lit") and instr.extra.get("op") == "div":
-        return None
-    operands = tuple((u, version.get(u, 0)) for u in instr.uses)
-    payload = tuple(sorted((k, _hashable(v)) for k, v in instr.extra.items()))
-    memory = epoch if instr.kind in ("iget", "aget", "array-length") else -1
-    return (instr.kind, payload, operands, memory)
-
-
-def _hashable(value: object) -> object:
-    return tuple(value) if isinstance(value, list) else value
-
-
+@graph_transform
 def value_number(graph: HGraph) -> bool:
     changed = False
     for block in graph.blocks.values():
         version: dict[int, int] = {}
         epoch = 0
         available: dict[Hashable, tuple[int, int]] = {}
-        new_body: list[HInstruction] = []
-        for instr in block.body:
-            key = _key(instr, version, epoch)
-            if key is not None and key in available:
-                holder, held_version = available[key]
-                if version.get(holder, 0) == held_version and instr.dst is not None:
-                    if instr.dst != holder:
+        instructions = block.instructions
+        # Copied from the first rewritten instruction on; an untouched
+        # block keeps its list.
+        new_body: list[HInstruction] | None = None
+        for index in range(len(instructions) - 1):
+            instr = instructions[index]
+            kind = instr.kind
+            fields = _PAYLOAD_FIELDS.get(kind)
+            key: Hashable | None = None
+            if fields is not None and instr.extra.get("op") != "div":
+                key = (
+                    kind,
+                    tuple([instr.extra[name] for name in fields]),
+                    tuple([(u, version.get(u, 0)) for u in instr.uses]),
+                    epoch if kind in _LOAD_KINDS else -1,
+                )
+                entry = available.get(key)
+                if entry is not None and instr.dst is not None:
+                    holder, held_version = entry
+                    if version.get(holder, 0) == held_version:
+                        changed = True
+                        if new_body is None:
+                            new_body = instructions[:index]
+                        if instr.dst == holder:
+                            # Recomputing into the same register: drop entirely.
+                            continue
                         instr = HInstruction("move", dst=instr.dst, uses=(holder,))
-                        changed = True
-                    else:
-                        # Recomputing into the same register: drop entirely.
-                        changed = True
-                        continue
-                    key = None  # the move defines dst below
-            if instr.has_side_effects:
+                        key = None  # the move defines dst below
+            if instr.kind in SIDE_EFFECT_KINDS:
                 epoch += 1
             if instr.dst is not None:
                 version[instr.dst] = version.get(instr.dst, 0) + 1
                 if key is not None:
                     available[key] = (instr.dst, version[instr.dst])
-            new_body.append(instr)
-        block.instructions = new_body + [block.terminator]
+            if new_body is not None:
+                new_body.append(instr)
+        if new_body is not None:
+            new_body.append(instructions[-1])
+            block.instructions = new_body
     return changed

@@ -27,7 +27,7 @@ from __future__ import annotations
 import copy
 from typing import Callable
 
-from repro.hgraph.ir import HGraph, HInstruction
+from repro.hgraph.ir import HGraph, HInstruction, graph_transform
 
 __all__ = ["inline_small_methods"]
 
@@ -48,6 +48,7 @@ def _inlinable_body(callee: HGraph, max_instructions: int) -> list[HInstruction]
     return block.instructions
 
 
+@graph_transform
 def inline_small_methods(
     graph: HGraph,
     resolve: Callable[[str], HGraph | None],

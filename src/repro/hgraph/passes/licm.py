@@ -20,41 +20,52 @@ every in-loop use would have seen anyway.
 
 from __future__ import annotations
 
-from repro.hgraph.ir import HBasicBlock, HGraph, HInstruction
+from repro.hgraph.ir import HBasicBlock, HGraph, HInstruction, graph_transform
+from repro.hgraph.liveness import mask_to_set
 
 __all__ = ["dominators", "hoist_loop_invariants", "natural_loops"]
 
 
-def dominators(graph: HGraph) -> dict[int, set[int]]:
-    """Iterative dominator sets (fine for the small CFGs here)."""
-    all_blocks = set(graph.blocks)
-    dom: dict[int, set[int]] = {bid: set(all_blocks) for bid in all_blocks}
-    dom[graph.entry_id] = {graph.entry_id}
+def _dominator_masks(graph: HGraph) -> dict[int, int]:
+    """Iterative dominators, one bitmask per block (bit ``b`` = block
+    ``b`` dominates it)."""
+    blocks = graph.blocks
+    entry = graph.entry_id
+    everything = 0
+    for bid in blocks:
+        everything |= 1 << bid
+    dom = dict.fromkeys(blocks, everything)
+    dom[entry] = 1 << entry
     changed = True
     while changed:
         changed = False
-        for bid, block in graph.blocks.items():
-            if bid == graph.entry_id:
+        for bid, block in blocks.items():
+            if bid == entry:
                 continue
             preds = block.predecessors
-            if preds:
-                new = set.intersection(*(dom[p] for p in preds)) | {bid}
-            else:
-                new = {bid}
+            new = everything if preds else 0
+            for pred in preds:
+                new &= dom[pred]
+            new |= 1 << bid
             if new != dom[bid]:
                 dom[bid] = new
                 changed = True
     return dom
 
 
+def dominators(graph: HGraph) -> dict[int, set[int]]:
+    """Dominator set per block (fine for the small CFGs here)."""
+    return {bid: mask_to_set(mask) for bid, mask in _dominator_masks(graph).items()}
+
+
 def natural_loops(graph: HGraph) -> dict[int, set[int]]:
     """``header → loop body blocks`` for every natural loop (bodies of
     back edges sharing a header are merged)."""
-    dom = dominators(graph)
+    dom = _dominator_masks(graph)
     loops: dict[int, set[int]] = {}
     for bid, block in graph.blocks.items():
         for succ in block.successors:
-            if succ in dom[bid]:  # back edge bid -> succ
+            if (dom[bid] >> succ) & 1:  # back edge bid -> succ
                 body = loops.setdefault(succ, {succ})
                 stack = [bid]
                 while stack:
@@ -64,22 +75,6 @@ def natural_loops(graph: HGraph) -> dict[int, set[int]]:
                     body.add(node)
                     stack.extend(graph.blocks[node].predecessors)
     return loops
-
-
-def _live_in(graph: HGraph) -> dict[int, set[int]]:
-    """Per-block live-in sets, from the DCE liveness machinery."""
-    from repro.hgraph.passes.dce import liveness
-
-    live_out = liveness(graph)
-    live_in: dict[int, set[int]] = {}
-    for bid, block in graph.blocks.items():
-        live = set(live_out[bid])
-        for instr in reversed(block.instructions):
-            if instr.dst is not None:
-                live.discard(instr.dst)
-            live |= set(instr.uses)
-        live_in[bid] = live
-    return live_in
 
 
 def _ensure_preheader(graph: HGraph, header: int, body: set[int]) -> HBasicBlock:
@@ -110,6 +105,7 @@ def _ensure_preheader(graph: HGraph, header: int, body: set[int]) -> HBasicBlock
     return pre
 
 
+@graph_transform
 def hoist_loop_invariants(graph: HGraph) -> bool:
     """Run LICM over every natural loop; returns True when changed."""
     loops = natural_loops(graph)
@@ -120,7 +116,7 @@ def hoist_loop_invariants(graph: HGraph) -> bool:
     # outward across runs of the pass pipeline.
     for header in sorted(loops, key=lambda h: len(loops[h])):
         body = loops[header]
-        live_in = _live_in(graph)
+        header_live_in = graph.liveness().live_in[header]
         defs_in_loop: dict[int, int] = {}
         for bid in body:
             for instr in graph.blocks[bid].instructions:
@@ -130,25 +126,32 @@ def hoist_loop_invariants(graph: HGraph) -> bool:
         hoisted: list[HInstruction] = []
         for bid in sorted(body):
             block = graph.blocks[bid]
+            instructions = block.instructions
             kept: list[HInstruction] = []
-            for instr in block.body:
+            for index in range(len(instructions) - 1):
+                instr = instructions[index]
+                dst = instr.dst
                 invariant = (
-                    instr.is_removable_if_dead
-                    and instr.dst is not None
-                    and defs_in_loop.get(instr.dst, 0) == 1
+                    dst is not None
+                    and defs_in_loop.get(dst, 0) == 1
+                    and not (header_live_in >> dst) & 1
+                    and instr.is_removable_if_dead
                     and all(u not in defs_in_loop for u in instr.uses)
-                    and instr.dst not in live_in[header]
                 )
                 if invariant:
                     hoisted.append(instr)
-                    defs_in_loop.pop(instr.dst, None)
-                    changed = True
+                    defs_in_loop.pop(dst, None)
                 else:
                     kept.append(instr)
-            block.instructions = kept + [block.terminator]
+            if len(kept) != len(instructions) - 1:
+                kept.append(instructions[-1])
+                block.instructions = kept
         if hoisted:
+            changed = True
             pre = _ensure_preheader(graph, header, body)
-            pre.instructions = pre.body + hoisted + [pre.terminator]
+            pre.instructions[-1:-1] = hoisted
+            # The next loop reads liveness of the graph as changed here.
+            graph.invalidate_liveness()
     if changed:
         graph.recompute_predecessors()
         graph.validate()

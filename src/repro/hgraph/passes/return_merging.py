@@ -5,11 +5,12 @@ optimizations)."""
 
 from __future__ import annotations
 
-from repro.hgraph.ir import HGraph, HInstruction
+from repro.hgraph.ir import HGraph, HInstruction, graph_transform
 
 __all__ = ["merge_returns"]
 
 
+@graph_transform
 def merge_returns(graph: HGraph) -> bool:
     value_returns = [
         bid for bid, b in graph.blocks.items() if b.terminator.kind == "return"

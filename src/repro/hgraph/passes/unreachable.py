@@ -3,11 +3,12 @@ reach are deleted (one of the standard dex2oat size optimizations)."""
 
 from __future__ import annotations
 
-from repro.hgraph.ir import HGraph
+from repro.hgraph.ir import HGraph, graph_transform
 
 __all__ = ["remove_unreachable"]
 
 
+@graph_transform
 def remove_unreachable(graph: HGraph) -> bool:
     reachable: set[int] = set()
     stack = [graph.entry_id]

@@ -177,6 +177,8 @@ class AsyncBuildServer:
         self.flush_interval = flush_interval
         self.default_config = default_config
         self._jobs: dict[str, _Job] = {}
+        #: Open connections: handler task → its stream writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._tenants: dict[str, _TenantBook] = {}
         self._ids = itertools.count(1)
         self._accepted = 0
@@ -203,7 +205,8 @@ class AsyncBuildServer:
 
         At shutdown the listener closes first, queued builds are
         cancelled (their clients get the ``cancelled`` terminal event),
-        and running builds are drained to completion.
+        running builds are drained to completion, and then the
+        connections still open are closed and their handlers awaited.
         """
         self._loop = asyncio.get_running_loop()
         self._slots = asyncio.Semaphore(self.max_concurrent)
@@ -256,6 +259,13 @@ class AsyncBuildServer:
                 await asyncio.gather(
                     *(job.task for job in pending), return_exceptions=True
                 )
+            # A handler waiting in readline for a next request sees end
+            # of stream and returns; cancelling it instead would leave a
+            # cancelled task for the stream machinery to log.
+            handlers = list(self._connections.items())
+            for _handler, writer in handlers:
+                writer.close()
+            await asyncio.gather(*(h for h, _ in handlers), return_exceptions=True)
             self._executor.shutdown(wait=True)
             self.service.flush_metrics()
             if own_tracer is not None and obs.current_tracer() is own_tracer:
@@ -285,6 +295,8 @@ class AsyncBuildServer:
 
     async def _handle_connection(self, reader, writer) -> None:
         obs.counter_add("service.server.connections")
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         write_lock = asyncio.Lock()
 
         async def send(message: dict[str, Any]) -> None:
@@ -332,6 +344,7 @@ class AsyncBuildServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            del self._connections[handler]
             with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()

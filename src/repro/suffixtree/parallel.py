@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import atexit
 import os
+import pickle
 import random
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import Callable, Sequence, TypeVar
 
+from repro import observability as obs
 from repro.core.errors import ConfigError
 
 __all__ = [
@@ -126,15 +128,19 @@ def map_over_groups(
 ) -> list[_R]:
     """Apply ``worker`` to each group, in parallel when possible.
 
-    ``worker`` must be a module-level function (picklability) when
-    ``jobs > 1``.  Results are returned in group order.  Parallel runs
-    go through the persistent :func:`shared_pool`; at most ``jobs``
-    tasks are in flight at once even when the pool is wider.
+    Results are returned in group order.  Parallel runs go through the
+    persistent :func:`shared_pool`; at most ``jobs`` tasks are in flight
+    at once even when the pool is wider.  A worker that cannot be
+    shipped to another process (a lambda or a local function) runs the
+    groups serially instead, counted as ``plopti.serial_fallbacks``.
     """
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     effective = min(jobs, len(groups), available_parallelism())
     if effective <= 1 or len(groups) <= 1:
+        return [worker(group) for group in groups]
+    if not _picklable(worker):
+        obs.counter_add("plopti.serial_fallbacks")
         return [worker(group) for group in groups]
     pool = shared_pool()
     results: list[_R | None] = [None] * len(groups)
@@ -148,3 +154,12 @@ def map_over_groups(
         for future in done:
             results[in_flight.pop(future)] = future.result()
     return results  # type: ignore[return-value]
+
+
+def _picklable(worker: Callable) -> bool:
+    """Whether ``worker`` can be sent to a pool process."""
+    try:
+        pickle.dumps(worker)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return False
+    return True

@@ -59,6 +59,13 @@ def test_build_trace_phases_cover_wall_time():
             "ltbo.group.rewrite",
         }
 
+    # The optimization passes' reconstructed span sits inside code
+    # generation, whose per-method loop runs them.
+    codegen = trace.find("dex2oat.codegen")
+    opt = [s for s in codegen.children if s.name == "dex2oat.opt"]
+    assert len(opt) == 1
+    assert 0.0 < opt[0].duration <= codegen.duration
+
     # Counters made it into the trace, and the headline ones are sane.
     assert trace.counters["dex2oat.methods"] > 0
     assert trace.counters["plopti.partitions"] == 2

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import os
 import shutil
 import socket
@@ -35,7 +36,7 @@ from repro.service import (
     serve_in_background,
 )
 from repro.service.faults import FaultPlan, armed
-from repro.service.protocol import PROTOCOL_VERSION, BuildFailed
+from repro.service.protocol import PROTOCOL_VERSION, BuildFailed, encode_message
 from repro.workloads import app_spec, generate_app
 
 CONFIG = CalibroConfig.cto_ltbo_plopti(groups=4)
@@ -348,3 +349,21 @@ def test_idle_flush_keeps_exposition_fresh(tmp_path):
     text = metrics.read_text()
     assert "calibro_build_info" in text
     assert "calibro_service_server_flushes" in text
+
+
+def test_shutdown_with_an_idle_connection_logs_no_traceback(caplog):
+    """Leaving ``serve_in_background`` while a client connection is
+    still open — its handler waiting in ``readline`` for the next
+    request — closes that handler cleanly: nothing reaches the asyncio
+    logger (it used to log a ``CancelledError`` traceback)."""
+    with caplog.at_level(logging.DEBUG, logger="asyncio"):
+        with _front_door(BuildService(ServiceConfig())) as (_server, sock):
+            idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            idle.settimeout(30.0)
+            idle.connect(sock)
+            idle.sendall(encode_message({"op": "status", "id": 1}))
+            reply = json.loads(idle.makefile("rb").readline())
+            assert reply["event"] == "status"
+        idle.close()
+    logged = [r for r in caplog.records if r.exc_info or r.levelno >= logging.WARNING]
+    assert not logged, [r.getMessage() for r in logged]

@@ -57,3 +57,15 @@ def test_map_over_groups_rejects_bad_jobs():
 
 def test_available_parallelism_positive():
     assert available_parallelism() >= 1
+
+
+def test_unpicklable_worker_runs_serially_and_is_counted(monkeypatch):
+    """A lambda cannot reach a pool process: with several CPUs the map
+    falls back to in-process execution and counts it."""
+    from repro import observability as obs
+    from repro.suffixtree import parallel
+
+    monkeypatch.setattr(parallel, "available_parallelism", lambda: 4)
+    with obs.tracing() as tracer:
+        assert map_over_groups(lambda g: g[0] + 1, [[1], [2], [3]], jobs=3) == [2, 3, 4]
+    assert tracer.counters["plopti.serial_fallbacks"] == 1
